@@ -379,6 +379,21 @@ func runMicro(outPath string, reps int) error {
 				agent.TrainIterationVec(venv, batch, rng)
 			}
 		}},
+		// ABREpisodeMPC is one RobustMPC session, the baseline half of every
+		// ABR gap-to-baseline evaluation. Its allocations are per episode
+		// (session, observation, result slices), never per chunk.
+		{"ABREpisodeMPC", func(b *testing.B) {
+			cfg := env.ABRSpace(env.RL3).Default(env.ABRDefaults())
+			inst, err := abr.NewInstance(cfg, nil, rand.New(rand.NewSource(2)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				inst.Evaluate(abr.NewRobustMPC())
+			}
+		}},
 	}
 
 	base := microBaseline{

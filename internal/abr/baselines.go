@@ -2,6 +2,7 @@ package abr
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -85,7 +86,12 @@ type MPC struct {
 	Robust bool
 
 	lastPrediction float64
-	errorHist      []float64
+	errorHist      [5]float64 // recent relative errors, oldest first
+	errorN         int
+	levels         []struct{ rbr, dl float64 } // plan's scratch: bitrate reward, nominal download time
+	chg            []float64                   // change penalty at (lastLevel+1)*n + level
+	state          [][2]float64                // per depth from 1: buffer and partial score
+	lvl            []int                       // per depth from 1: next level to try; lvl[0] = LastLevel+1
 }
 
 // NewRobustMPC returns RobustMPC with the paper's default horizon.
@@ -102,7 +108,7 @@ func (m *MPC) Name() string {
 // Reset implements Policy.
 func (m *MPC) Reset() {
 	m.lastPrediction = 0
-	m.errorHist = nil
+	m.errorN = 0
 }
 
 // Select implements Policy.
@@ -122,18 +128,18 @@ func (m *MPC) Select(obs *Observation) int {
 	if m.lastPrediction > 0 {
 		actual := obs.ThroughputHist[len(obs.ThroughputHist)-1]
 		if actual > 0 {
-			e := math.Abs(m.lastPrediction-actual) / actual
-			m.errorHist = append(m.errorHist, e)
-			if len(m.errorHist) > 5 {
-				m.errorHist = m.errorHist[1:]
+			if m.errorN == len(m.errorHist) {
+				m.errorN = copy(m.errorHist[:], m.errorHist[1:])
 			}
+			m.errorHist[m.errorN] = math.Abs(m.lastPrediction-actual) / actual
+			m.errorN++
 		}
 	}
 	pred := predictThroughput(obs.ThroughputHist)
 	m.lastPrediction = pred
 	if m.Robust {
 		maxErr := 0.0
-		for _, e := range m.errorHist {
+		for _, e := range m.errorHist[:m.errorN] {
 			maxErr = math.Max(maxErr, e)
 		}
 		pred /= 1 + maxErr
@@ -141,40 +147,72 @@ func (m *MPC) Select(obs *Observation) int {
 	if pred <= 0 {
 		pred = 0.1
 	}
+	return m.plan(obs, horizon, pred)
+}
 
-	best, bestScore := 0, math.Inf(-1)
-	n := obs.Video.NumLevels()
-	seq := make([]int, horizon)
-	var rec func(depth int, buffer float64, lastLevel int, score float64)
-	rec = func(depth int, buffer float64, lastLevel int, score float64) {
-		if depth == horizon {
-			if score > bestScore {
-				bestScore = score
-				best = seq[0]
-			}
-			return
-		}
-		for l := 0; l < n; l++ {
-			size := obs.Video.BitrateMbps(l) * obs.Video.ChunkLength // Mbit nominal
-			if depth == 0 && obs.NextSizes != nil {
-				size = obs.NextSizes[l] * 8 / 1e6
-			}
-			dl := size / pred
-			rebuf := math.Max(0, dl-buffer)
-			nb := math.Max(0, buffer-dl) + obs.Video.ChunkLength
-			if nb > obs.MaxBuffer {
-				nb = obs.MaxBuffer
-			}
-			change := 0.0
-			if lastLevel >= 0 {
-				change = math.Abs(obs.Video.BitrateMbps(l) - obs.Video.BitrateMbps(lastLevel))
-			}
-			r := RewardBitrateCoef*obs.Video.BitrateMbps(l) + RewardRebufCoef*rebuf + RewardChangeCoef*change
-			seq[depth] = l
-			rec(depth+1, nb, l, score+r)
+// plan is the look-ahead MPC and Oboe share: the first level of the best plan
+// over horizon >= 1 chunks under throughput prediction pred, exactly as a full
+// enumeration picks it (DESIGN.md, "RobustMPC planner").
+func (m *MPC) plan(obs *Observation, horizon int, pred float64) int {
+	v, n := obs.Video, obs.Video.NumLevels()
+	m.levels = slices.Grow(m.levels[:0], n)[:n]
+	m.chg = slices.Grow(m.chg[:0], (n+1)*n)[:(n+1)*n]
+	m.state = slices.Grow(m.state[:0], horizon+1)[:horizon+1]
+	m.lvl = slices.Grow(m.lvl[:0], horizon+1)[:horizon+1]
+	maxR := math.Inf(-1)
+	for l := range m.levels {
+		br := v.BitrateMbps(l)
+		m.levels[l].rbr, m.levels[l].dl = RewardBitrateCoef*br, br*v.ChunkLength/pred
+		maxR = max(maxR, m.levels[l].rbr) // a NaN here only disables pruning
+		m.chg[l] = 0                      // row 0: no last level
+		for last := 0; last < n; last++ {
+			m.chg[(last+1)*n+l] = RewardChangeCoef * math.Abs(br-v.BitrateMbps(last))
 		}
 	}
-	rec(0, obs.Buffer, obs.LastLevel, 0)
+
+	best, bestScore := 0, math.Inf(-1)
+	m.lvl[0], m.lvl[1], m.state[1] = max(obs.LastLevel+1, 0), 0, [2]float64{obs.Buffer, 0}
+	for d := 1; d > 0; {
+		l := m.lvl[d]
+		if l == n {
+			d--
+			continue
+		}
+		// lvl is bumped on entry, so a parent's lvl is its level + 1.
+		m.lvl[d]++
+		dl := m.levels[l].dl
+		if d == 1 && obs.NextSizes != nil {
+			dl = obs.NextSizes[l] * 8 / 1e6 / pred
+		}
+		buf, score := m.state[d][0], m.state[d][1]
+		rebuf := dl - buf
+		if rebuf <= 0 {
+			rebuf = 0
+		}
+		s := score + (m.levels[l].rbr + RewardRebufCoef*rebuf + m.chg[m.lvl[d-1]*n+l])
+		if d == horizon {
+			if s > bestScore {
+				best, bestScore = m.lvl[1]-1, s
+			}
+			continue
+		}
+		bound := s
+		for k := d; k < horizon; k++ {
+			bound += maxR
+		}
+		if bound <= bestScore {
+			continue
+		}
+		nb := buf - dl
+		if nb <= 0 {
+			nb = 0
+		}
+		if nb += v.ChunkLength; nb > obs.MaxBuffer {
+			nb = obs.MaxBuffer
+		}
+		d++
+		m.state[d], m.lvl[d] = [2]float64{nb, s}, 0
+	}
 	return best
 }
 

@@ -34,9 +34,8 @@ func (b *BOLA) Select(obs *Observation) int {
 		gammaP = 5
 	}
 	// Utilities: u_l = ln(S_l / S_min).
-	utilities := make([]float64, n)
-	for l := 0; l < n; l++ {
-		utilities[l] = math.Log(obs.Video.BitratesKbps[l] / obs.Video.BitratesKbps[0])
+	utility := func(l int) float64 {
+		return math.Log(obs.Video.BitratesKbps[l] / obs.Video.BitratesKbps[0])
 	}
 	// Derive V so the decision thresholds span the buffer: at buffer =
 	// reservoir pick the bottom rung, at buffer near capacity the top.
@@ -45,7 +44,7 @@ func (b *BOLA) Select(obs *Observation) int {
 	chunk := obs.Video.ChunkLength
 	bufMax := math.Max(obs.MaxBuffer, 3*chunk)
 	gamma := gammaP / chunk
-	b.v = (bufMax/chunk - 1) / (utilities[n-1] + gamma*chunk)
+	b.v = (bufMax/chunk - 1) / (utility(n-1) + gamma*chunk)
 	if b.v <= 0 {
 		b.v = 1
 	}
@@ -54,7 +53,7 @@ func (b *BOLA) Select(obs *Observation) int {
 	best, bestScore := 0, math.Inf(-1)
 	for l := 0; l < n; l++ {
 		sizeRel := obs.Video.BitratesKbps[l] / obs.Video.BitratesKbps[0]
-		score := (b.v*(utilities[l]+gamma*chunk) - bufChunks) / sizeRel
+		score := (b.v*(utility(l)+gamma*chunk) - bufChunks) / sizeRel
 		if score > bestScore {
 			bestScore = score
 			best = l

@@ -60,11 +60,15 @@ func RunEpisode(sim *Sim, policy Policy) Metrics {
 		TotalChunks:    sim.Video().NumChunks(),
 	}
 	var m Metrics
-	var rewards, bitrates, changes []float64
+	chunks := sim.RemainingChunks()
+	rewards := make([]float64, 0, chunks)
+	bitrates := make([]float64, 0, chunks)
+	changes := make([]float64, 0, chunks)
+	sizes := make([]float64, 0, sim.Video().NumLevels())
 	lastBr := -1.0
 	for !sim.Done() {
 		obs.Buffer = sim.Buffer()
-		obs.NextSizes = sim.NextSizes()
+		obs.NextSizes = sim.NextSizesInto(sizes)
 		obs.RemainingChunks = sim.RemainingChunks()
 		level := policy.Select(obs)
 		if level < 0 {
@@ -105,20 +109,20 @@ func pushHist(hist []float64, v float64) {
 	hist[len(hist)-1] = v
 }
 
-// predictThroughput is the harmonic-mean predictor over the non-zero tail of
-// the throughput history, shared by the rate-based and MPC baselines.
+// predictThroughput is the harmonic-mean predictor over the last five
+// non-zero entries of the throughput history, shared by the rate-based and
+// MPC baselines.
 func predictThroughput(hist []float64) float64 {
-	var tail []float64
-	for _, h := range hist {
-		if h > 0 {
-			tail = append(tail, h)
+	var tail [5]float64 // filled from the back, so tail[k:] is oldest first
+	k := len(tail)
+	for i := len(hist) - 1; i >= 0 && k > 0; i-- {
+		if hist[i] > 0 {
+			k--
+			tail[k] = hist[i]
 		}
 	}
-	if len(tail) == 0 {
+	if k == len(tail) {
 		return 0.3 // conservative cold-start guess (lowest rung, Mbps)
 	}
-	if len(tail) > 5 {
-		tail = tail[len(tail)-5:]
-	}
-	return stats.HarmonicMean(tail)
+	return stats.HarmonicMean(tail[k:])
 }
