@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"os"
@@ -23,9 +26,16 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files with current
 type goldenRun struct {
 	Kernel  string    `json:"kernel"`
 	Rewards []float64 `json:"rewards"`
+	// AgentSHA256 digests the final serialized agent state (weights, log-std
+	// and optimizer moments), pinning every float the run produced rather
+	// than only the evaluated rewards. Empty in goldens that predate it.
+	AgentSHA256 string `json:"agent_sha256,omitempty"`
 }
 
-const goldenPath = "testdata/golden_abr_trainer.json"
+const (
+	goldenPath   = "testdata/golden_abr_trainer.json"
+	goldenCCPath = "testdata/golden_cc_trainer.json"
+)
 
 // TestGoldenTrainerDeterminism runs a fixed-seed miniature Genet curriculum
 // on the real ABR harness and compares the after-round evaluation rewards
@@ -59,8 +69,54 @@ func TestGoldenTrainerDeterminism(t *testing.T) {
 	if _, err := tr.Run(rand.New(rand.NewSource(11))); err != nil {
 		t.Fatal(err)
 	}
-	got := goldenRun{Kernel: nn.KernelName(), Rewards: rewards}
+	checkGolden(t, goldenPath, goldenRun{Kernel: nn.KernelName(), Rewards: rewards})
+}
 
+// TestGoldenCCTrainerDeterminism is TestGoldenTrainerDeterminism for the
+// congestion-control harness: the Gaussian/PPO agent's update path (PPO
+// epochs, the batched policy/value backward, Adam on nets and log-std) is
+// pinned by the after-round rewards and by a digest of the final agent
+// state. Refresh intentionally with
+//
+//	go test ./internal/core/ -run TestGoldenCCTrainerDeterminism -update
+func TestGoldenCCTrainerDeterminism(t *testing.T) {
+	h, err := NewCCHarness(env.CCSpace(env.RL1), rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Small iterations that still span several 64-row PPO minibatches.
+	h.EnvsPerIter, h.StepsPerIter = 2, 200
+
+	evalCfg := h.Space().Default(nil)
+	var rewards []float64
+	tr := NewTrainer(h, Options{
+		Rounds:        2,
+		ItersPerRound: 2,
+		BOSteps:       3,
+		EnvsPerEval:   1,
+		WarmupIters:   2,
+		AfterRound: func(round int) {
+			ev := h.Eval(evalCfg, 2, 0, rand.New(rand.NewSource(int64(100+round))))
+			rewards = append(rewards, ev.RL)
+		},
+	})
+	if _, err := tr.Run(rand.New(rand.NewSource(11))); err != nil {
+		t.Fatal(err)
+	}
+	var state bytes.Buffer
+	if err := h.SaveAgentState(&state); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(state.Bytes())
+	checkGolden(t, goldenCCPath, goldenRun{
+		Kernel: nn.KernelName(), Rewards: rewards, AgentSHA256: hex.EncodeToString(sum[:]),
+	})
+}
+
+// checkGolden compares got against the golden file at goldenPath, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, goldenPath string, got goldenRun) {
+	t.Helper()
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -95,5 +151,9 @@ func TestGoldenTrainerDeterminism(t *testing.T) {
 			t.Fatalf("checkpoint %d: reward = %.17g, golden %.17g (bit-exact determinism broken)",
 				i, got.Rewards[i], want.Rewards[i])
 		}
+	}
+	if want.AgentSHA256 != got.AgentSHA256 {
+		t.Fatalf("final agent state sha256 = %s, golden %s (bit-exact determinism broken)",
+			got.AgentSHA256, want.AgentSHA256)
 	}
 }
