@@ -275,6 +275,72 @@ func BenchmarkRLUpdate(b *testing.B) {
 	}
 }
 
+// newCCNet returns the CC policy/value network shape (31→32→16→1, the
+// rl.DefaultGaussianConfig layers) and a [64 x obs] minibatch for it.
+func newCCNet(seed int64) (*nn.MLP, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	m := nn.MustMLP(rng, nn.Tanh, cc.ObsSize, 32, 16, 1)
+	x := make([]float64, ccMinibatch*cc.ObsSize)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	return m, x
+}
+
+// ccMinibatch is the PPO minibatch of rl.DefaultGaussianConfig.
+const ccMinibatch = 64
+
+// BenchmarkNNForwardBatchCC times one minibatch forward through a CC net
+// with a warm scratch.
+func BenchmarkNNForwardBatchCC(b *testing.B) {
+	m, x := newCCNet(14)
+	s := m.NewScratch(ccMinibatch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.ForwardBatch(s, x, ccMinibatch)
+	}
+}
+
+// BenchmarkNNBackwardParamsCC times the parameter-only backward the PPO
+// update runs per minibatch, over activations cached once.
+func BenchmarkNNBackwardParamsCC(b *testing.B) {
+	m, x := newCCNet(15)
+	s := m.NewScratch(ccMinibatch)
+	m.ForwardBatchCache(s, x, ccMinibatch)
+	gradOut := make([]float64, ccMinibatch)
+	for i := range gradOut {
+		gradOut[i] = x[i] / ccMinibatch
+	}
+	grads := m.NewGrads()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.BackwardBatchParams(s, gradOut, grads)
+	}
+}
+
+// BenchmarkRLUpdateGaussianCC times one PPO update (GAE, four epochs of
+// 64-row minibatches, Adam) over an 800-step CC batch, recollected outside
+// the timer so every update sees a fresh on-policy batch.
+func BenchmarkRLUpdateGaussianCC(b *testing.B) {
+	rng := rand.New(rand.NewSource(16))
+	agent, err := rl.NewGaussianAgent(rl.DefaultGaussianConfig(cc.ObsSize, 1), rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := cc.NewRLEnv(cc.GenFromConfig(env.CCSpace(env.RL1).Default(nil)))
+	batch := agent.Collect(e, 800, rng)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agent.Update(batch, rng)
+		b.StopTimer()
+		batch = agent.Collect(e, 800, rng)
+		b.StartTimer()
+	}
+}
+
 func BenchmarkGPFitPredict(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	const n, d = 15, 6

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/genet-go/genet/internal/abr"
+	"github.com/genet-go/genet/internal/cc"
 	"github.com/genet-go/genet/internal/ckpt"
 	"github.com/genet-go/genet/internal/env"
 	"github.com/genet-go/genet/internal/nn"
@@ -97,6 +98,21 @@ func medianInt64(xs []int64) int64 {
 	return xs[n/2]
 }
 
+// ccMinibatch is the PPO minibatch of rl.DefaultGaussianConfig.
+const ccMinibatch = 64
+
+// newCCNet returns the CC policy/value network shape (31→32→16→1, the
+// rl.DefaultGaussianConfig layers) and a [64 x obs] minibatch for it.
+func newCCNet(seed int64) (*nn.MLP, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	m := nn.MustMLP(rng, nn.Tanh, cc.ObsSize, 32, 16, 1)
+	x := make([]float64, ccMinibatch*cc.ObsSize)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	return m, x
+}
+
 // runMicro runs the RL hot-path micro-benchmarks via testing.Benchmark and
 // writes a JSON baseline to outPath, so the perf trajectory of the training
 // loop is tracked in-repo from PR to PR (BENCH_1.json is this PR's
@@ -174,6 +190,50 @@ func runMicro(outPath string, reps int) error {
 				agent.Update(bt)
 				b.StopTimer()
 				bt = agent.Collect(e, 200, rng)
+				b.StartTimer()
+			}
+		}},
+		// The CC trio prices the PPO update that bounds the CC curriculum:
+		// the 31→32→16→1 nets at the 64-row minibatch, and one Update over
+		// an 800-step batch (recollected outside the timer).
+		{"NNForwardBatchCC", func(b *testing.B) {
+			m, x := newCCNet(14)
+			s := m.NewScratch(ccMinibatch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.ForwardBatch(s, x, ccMinibatch)
+			}
+		}},
+		{"NNBackwardParamsCC", func(b *testing.B) {
+			m, x := newCCNet(15)
+			s := m.NewScratch(ccMinibatch)
+			m.ForwardBatchCache(s, x, ccMinibatch)
+			gradOut := make([]float64, ccMinibatch)
+			for i := range gradOut {
+				gradOut[i] = x[i] / ccMinibatch
+			}
+			grads := m.NewGrads()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.BackwardBatchParams(s, gradOut, grads)
+			}
+		}},
+		{"RLUpdateGaussianCC", func(b *testing.B) {
+			rng := rand.New(rand.NewSource(16))
+			agent, err := rl.NewGaussianAgent(rl.DefaultGaussianConfig(cc.ObsSize, 1), rng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			e := cc.NewRLEnv(cc.GenFromConfig(env.CCSpace(env.RL1).Default(nil)))
+			bt := agent.Collect(e, 800, rng)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				agent.Update(bt, rng)
+				b.StopTimer()
+				bt = agent.Collect(e, 800, rng)
 				b.StartTimer()
 			}
 		}},

@@ -44,20 +44,6 @@ func (a Activation) String() string {
 	return "unknown"
 }
 
-func (a Activation) apply(x float64) float64 {
-	switch a {
-	case Tanh:
-		return math.Tanh(x)
-	case ReLU:
-		if x < 0 {
-			return 0
-		}
-		return x
-	default:
-		return x
-	}
-}
-
 // derivFromOutput returns dActivation/dx given the activation *output* y
 // (both tanh and ReLU admit this form, which avoids caching pre-activations).
 func (a Activation) derivFromOutput(y float64) float64 {
@@ -157,6 +143,9 @@ func (m *MLP) ForwardCache(x []float64) ([]float64, *Cache) {
 	return m.forward(x, true)
 }
 
+// forward runs the batched layer kernels at batch 1, so a single-sample
+// forward is bit-identical to each row of ForwardBatch. All layer outputs
+// share one allocation.
 func (m *MLP) forward(x []float64, keep bool) ([]float64, *Cache) {
 	if len(x) != m.InSize() {
 		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), m.InSize()))
@@ -166,17 +155,20 @@ func (m *MLP) forward(x []float64, keep bool) ([]float64, *Cache) {
 		c = &Cache{acts: make([][]float64, 0, len(m.weights)+1)}
 		c.acts = append(c.acts, append([]float64(nil), x...))
 	}
+	total := 0
+	for _, w := range m.sizes[1:] {
+		total += w
+	}
+	buf := make([]float64, total)
 	cur := x
 	last := len(m.weights) - 1
 	for l, w := range m.weights {
 		in, out := m.sizes[l], m.sizes[l+1]
-		next := make([]float64, out)
-		for o := 0; o < out; o++ {
-			sum := m.biases[l][o] + dot(w[o*in:(o+1)*in], cur)
-			if l != last {
-				sum = m.hidden.apply(sum)
-			}
-			next[o] = sum
+		next := buf[:out:out]
+		buf = buf[out:]
+		matmulNT(next, cur, w, m.biases[l], 1, in, out)
+		if l != last {
+			applyActivation(m.hidden, next)
 		}
 		cur = next
 		if keep {

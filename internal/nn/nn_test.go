@@ -55,13 +55,18 @@ func TestForwardPanicsOnWrongInput(t *testing.T) {
 }
 
 func TestActivations(t *testing.T) {
-	if ReLU.apply(-1) != 0 || ReLU.apply(2) != 2 {
+	apply := func(a Activation, x float64) float64 {
+		xs := []float64{x}
+		applyActivation(a, xs)
+		return xs[0]
+	}
+	if apply(ReLU, -1) != 0 || apply(ReLU, 2) != 2 {
 		t.Fatal("ReLU wrong")
 	}
-	if Linear.apply(-3) != -3 {
+	if apply(Linear, -3) != -3 {
 		t.Fatal("Linear wrong")
 	}
-	if math.Abs(Tanh.apply(0.5)-math.Tanh(0.5)) > 1e-15 {
+	if math.Abs(apply(Tanh, 0.5)-math.Tanh(0.5)) > 1e-15 {
 		t.Fatal("Tanh wrong")
 	}
 	for _, a := range []Activation{Linear, Tanh, ReLU} {

@@ -77,8 +77,19 @@ func (a *Adam) Step(net *MLP, g *Grads) {
 	}
 }
 
+// adamUpdate applies one Adam step elementwise. The AVX2 path updates four
+// lanes at a time with the same IEEE operations, in the same order, as the
+// Go loop below (no FMA: the amd64 compiler never fuses these multiplies
+// and adds), and the Go loop finishes the remainder.
 func adamUpdate(params, grad, m, v []float64, a *Adam, c1, c2 float64) {
-	for i, gi := range grad {
+	n := 0
+	if useASM {
+		_, _, _ = params[:len(grad)], m[:len(grad)], v[:len(grad)]
+		h := [8]float64{a.Beta1, 1 - a.Beta1, a.Beta2, 1 - a.Beta2, c1, c2, a.LR, a.Epsilon}
+		n = adamAsm(params, grad, m, v, &h)
+	}
+	for i := n; i < len(grad); i++ {
+		gi := grad[i]
 		m[i] = a.Beta1*m[i] + (1-a.Beta1)*gi
 		v[i] = a.Beta2*v[i] + (1-a.Beta2)*gi*gi
 		mhat := m[i] / c1

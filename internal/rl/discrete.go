@@ -489,7 +489,7 @@ func (sh *discreteShard) run(a *DiscreteAgent, batch *Batch, adv, returns []floa
 	if cached {
 		a.policy.BackwardBatchRows(batch.pCache, start, end, sh.gradBuf[:b*na], sh.ps, sh.pGrads)
 	} else {
-		a.policy.BackwardBatch(sh.ps, sh.gradBuf[:b*na], sh.pGrads)
+		a.policy.BackwardBatchParams(sh.ps, sh.gradBuf[:b*na], sh.pGrads)
 	}
 
 	// Critic: 0.5*(V - R)^2.
@@ -508,7 +508,7 @@ func (sh *discreteShard) run(a *DiscreteAgent, batch *Batch, adv, returns []floa
 	if cached {
 		a.value.BackwardBatchRows(batch.vCache, start, end, sh.vGradBuf[:b], sh.vs, sh.vGrads)
 	} else {
-		a.value.BackwardBatch(sh.vs, sh.vGradBuf[:b], sh.vGrads)
+		a.value.BackwardBatchParams(sh.vs, sh.vGradBuf[:b], sh.vGrads)
 	}
 }
 

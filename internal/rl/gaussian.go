@@ -505,7 +505,7 @@ func (sh *gaussianShard) run(a *GaussianAgent, batch *Batch, ids []int, adv, ret
 			clear(gm)
 		}
 	}
-	a.policy.BackwardBatch(sh.ps, sh.gmBuf[:b*k], sh.pGrads)
+	a.policy.BackwardBatchParams(sh.ps, sh.gmBuf[:b*k], sh.pGrads)
 
 	v := a.value.ForwardBatchCache(sh.vs, x, b)
 	for r := 0; r < b; r++ {
@@ -514,7 +514,7 @@ func (sh *gaussianShard) run(a *GaussianAgent, batch *Batch, ids []int, adv, ret
 		sh.stats.ValueLoss += 0.5 * diff * diff / bn
 		sh.vGradBuf[r] = diff / bn
 	}
-	a.value.BackwardBatch(sh.vs, sh.vGradBuf[:b], sh.vGrads)
+	a.value.BackwardBatchParams(sh.vs, sh.vGradBuf[:b], sh.vGrads)
 }
 
 // TrainIteration samples environments from makeEnv and performs one

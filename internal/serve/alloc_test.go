@@ -9,12 +9,12 @@ import (
 )
 
 // decideAllocBudget pins the decide hot path's allocation count with
-// observability NOT attached (observer nil, the default): 3 allocations per
-// decision, all from the policy network's Forward output buffers — the same
-// count as before the observability layer existed. The trace/span/access-log
-// hooks must cost exactly one nil check each when off; any new allocation
-// here is a regression against that contract.
-const decideAllocBudget = 3
+// observability NOT attached (observer nil, the default): 1 allocation per
+// decision, the policy network's Forward buffer shared by all its layer
+// outputs. The trace/span/access-log hooks must cost exactly one nil check
+// each when off; any new allocation here is a regression against that
+// contract.
+const decideAllocBudget = 1
 
 func TestDecideHotPathAllocs(t *testing.T) {
 	for _, tc := range []struct {
