@@ -2,9 +2,12 @@ package genet
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
+	"net/http"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"github.com/genet-go/genet/internal/abr"
 	"github.com/genet-go/genet/internal/bo"
@@ -13,8 +16,11 @@ import (
 	"github.com/genet-go/genet/internal/env"
 	"github.com/genet-go/genet/internal/experiments"
 	"github.com/genet-go/genet/internal/lb"
+	"github.com/genet-go/genet/internal/metrics"
 	"github.com/genet-go/genet/internal/nn"
+	"github.com/genet-go/genet/internal/obs"
 	"github.com/genet-go/genet/internal/rl"
+	"github.com/genet-go/genet/internal/serve"
 )
 
 // benchExperiment runs one registered paper experiment end to end at smoke
@@ -468,6 +474,76 @@ func BenchmarkGenetRound(b *testing.B) {
 		if _, err := NewTrainer(h, Options{
 			Rounds: 1, ItersPerRound: 2, BOSteps: 3, EnvsPerEval: 1, WarmupIters: 1,
 		}).Run(rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// newDecideServer returns an abr policy server with metrics on and
+// genet-serve's default robustness options (admission gate, deadline,
+// quarantine), and an observation from a seeded ABR session.
+func newDecideServer(b *testing.B) (*serve.Server, []float64) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(17))
+	agent, err := rl.NewDiscreteAgent(rl.DefaultDiscreteConfig(abr.ObsSize, len(abr.DefaultBitratesKbps)), rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var model bytes.Buffer
+	if err := agent.Save(&model); err != nil {
+		b.Fatal(err)
+	}
+	m, err := serve.ReadModel("abr", &model)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := serve.New("abr", m, metrics.NewRegistry())
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.Configure(serve.RobustnessOptions{
+		MaxInflight: 256,
+		ShedWait:    5 * time.Millisecond,
+		Deadline:    time.Second,
+		Degrade:     serve.DegradeConfig{QuarantineAfter: 3, ProbeEvery: 16, RecoverAfter: 3},
+	})
+	e := abr.NewRLEnv(abr.GenFromConfig(ABRSpace(RL3).Sample(rng)))
+	return s, append([]float64(nil), e.Reset(rng)...)
+}
+
+// BenchmarkDecideInProc prices one in-process policy decision
+// (Server.Decide): admission plus the forward pass.
+func BenchmarkDecideInProc(b *testing.B) {
+	s, o := newDecideServer(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Decide(o); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecideHTTP prices the same decision through the data plane:
+// Client -> loopback HTTP on one keep-alive connection -> NewHandler.
+func BenchmarkDecideHTTP(b *testing.B) {
+	s, o := newDecideServer(b)
+	hs, err := obs.StartHandler("127.0.0.1:0", serve.NewHandler(s), func(err error) { b.Error(err) })
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer hs.Shutdown(context.Background())
+	c := serve.NewClient("http://" + hs.Addr)
+	c.HTTPClient = &http.Client{Timeout: 10 * time.Second, Transport: &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1}}
+	defer c.HTTPClient.CloseIdleConnections()
+	c.MaxRetries, c.BreakerThreshold = -1, -1
+	if _, err := c.Decide(o); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Decide(o); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,23 +2,28 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/genet-go/genet/internal/abr"
 	"github.com/genet-go/genet/internal/cc"
 	"github.com/genet-go/genet/internal/ckpt"
 	"github.com/genet-go/genet/internal/env"
+	"github.com/genet-go/genet/internal/metrics"
 	"github.com/genet-go/genet/internal/nn"
 	"github.com/genet-go/genet/internal/obs"
 	"github.com/genet-go/genet/internal/rl"
+	"github.com/genet-go/genet/internal/serve"
 )
 
 // microResult is one row of the BENCH_*.json baseline. NsPerOp and the
@@ -111,6 +116,37 @@ func newCCNet(seed int64) (*nn.MLP, []float64) {
 		x[i] = rng.NormFloat64()
 	}
 	return m, x
+}
+
+// newDecideServer returns an abr policy server with metrics on and
+// genet-serve's default robustness options (admission gate, deadline,
+// quarantine), and an observation from a seeded ABR session.
+func newDecideServer(b *testing.B) (*serve.Server, []float64) {
+	rng := rand.New(rand.NewSource(17))
+	agent, err := rl.NewDiscreteAgent(rl.DefaultDiscreteConfig(abr.ObsSize, len(abr.DefaultBitratesKbps)), rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var model bytes.Buffer
+	if err := agent.Save(&model); err != nil {
+		b.Fatal(err)
+	}
+	m, err := serve.ReadModel("abr", &model)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := serve.New("abr", m, metrics.NewRegistry())
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.Configure(serve.RobustnessOptions{
+		MaxInflight: 256,
+		ShedWait:    5 * time.Millisecond,
+		Deadline:    time.Second,
+		Degrade:     serve.DegradeConfig{QuarantineAfter: 3, ProbeEvery: 16, RecoverAfter: 3},
+	})
+	e := abr.NewRLEnv(abr.GenFromConfig(env.ABRSpace(env.RL3).Sample(rng)))
+	return s, append([]float64(nil), e.Reset(rng)...)
 }
 
 // runMicro runs the RL hot-path micro-benchmarks via testing.Benchmark and
@@ -452,6 +488,42 @@ func runMicro(outPath string, reps int) error {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				inst.Evaluate(abr.NewRobustMPC())
+			}
+		}},
+		// The serve pair prices one policy decision in process
+		// (Server.Decide: admission and the forward pass) and through the
+		// data plane (Client -> loopback HTTP on one keep-alive connection
+		// -> NewHandler); their difference is transport and wire codec.
+		{"DecideInProc", func(b *testing.B) {
+			s, o := newDecideServer(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Decide(o); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"DecideHTTP", func(b *testing.B) {
+			s, o := newDecideServer(b)
+			hs, err := obs.StartHandler("127.0.0.1:0", serve.NewHandler(s), func(err error) { b.Error(err) })
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer hs.Shutdown(context.Background())
+			c := serve.NewClient("http://" + hs.Addr)
+			c.HTTPClient = &http.Client{Timeout: 10 * time.Second, Transport: &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1}}
+			defer c.HTTPClient.CloseIdleConnections()
+			c.MaxRetries, c.BreakerThreshold = -1, -1
+			if _, err := c.Decide(o); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Decide(o); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}},
 	}

@@ -169,7 +169,7 @@ func (c *Client) Decide(obsVec []float64) (Decision, error) {
 // attempts, and client-side spans (attempt, backoff, breaker-open) attach
 // to the same trace as the server's spans.
 func (c *Client) DecideCtx(ctx context.Context, obsVec []float64) (Decision, error) {
-	body, err := json.Marshal(DecideRequest{Obs: obsVec})
+	body, err := appendDecideRequest(make([]byte, 0, 16+len(obsVec)*(maxFloatLen+1)), obsVec)
 	if err != nil {
 		return Decision{}, fmt.Errorf("serve: encode request: %w", err)
 	}
@@ -260,17 +260,30 @@ func (c *Client) attempt(ctx context.Context, body []byte, tid obs.TraceID, atte
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		sErr := &StatusError{Code: resp.StatusCode, Msg: strings.TrimSpace(string(msg))}
+		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		sErr := &StatusError{Code: resp.StatusCode, Msg: errorMessage(raw)}
 		retryable := resp.StatusCode == http.StatusServiceUnavailable ||
 			resp.StatusCode == http.StatusGatewayTimeout
 		return Decision{}, sErr, retryable
 	}
-	var d Decision
-	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
+	wb := getWireBuf()
+	defer wb.put()
+	d, err := wb.decodeResponse(resp.Body)
+	if err != nil {
 		return Decision{}, fmt.Errorf("serve: decode response: %w", err), false
 	}
 	return d, nil, false
+}
+
+// errorMessage is the message of a non-200 /decide body: the server's error
+// text when the body is a structured ErrorBody, else the raw body trimmed
+// (a proxy's or a plain http.Error text).
+func errorMessage(raw []byte) string {
+	var body ErrorBody
+	if err := json.Unmarshal(raw, &body); err == nil && body.Error != "" {
+		return body.Error
+	}
+	return strings.TrimSpace(string(raw))
 }
 
 // breakerAllow admits the next attempt, fails fast while open, and lets a

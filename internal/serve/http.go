@@ -123,8 +123,13 @@ func NewHandler(s *Server) http.Handler {
 			ctx = obs.WithAttempt(ctx, a)
 		}
 
-		var req DecideRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, maxDecideBody)).Decode(&req); err != nil {
+		// The observation may live in wb until the handler returns: DecideCtx
+		// (and the degraded-mode probe inside it) finish with it before
+		// returning, and nothing they hand on keeps it.
+		wb := getWireBuf()
+		defer wb.put()
+		obsVec, err := wb.decodeRequest(r.Body)
+		if err != nil {
 			s.countBadRequest(ctx, tid, err)
 			writeError(w, http.StatusBadRequest, "bad request body: "+err.Error(), OutcomeError, tid)
 			return
@@ -134,7 +139,7 @@ func NewHandler(s *Server) http.Handler {
 			ctx, cancel = context.WithTimeout(ctx, d)
 			defer cancel()
 		}
-		d, err := s.DecideCtx(ctx, req.Obs)
+		d, err := s.DecideCtx(ctx, obsVec)
 		if err != nil {
 			switch {
 			case errors.Is(err, ErrShed):
@@ -151,7 +156,14 @@ func NewHandler(s *Server) http.Handler {
 			}
 			return
 		}
-		writeJSON(w, d)
+		out, ok := appendDecision(wb.out[:0], d)
+		if !ok {
+			writeJSON(w, d) // encoding/json's error, as a 500
+			return
+		}
+		wb.out = out
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(out)
 	})
 
 	mux.HandleFunc("/model", func(w http.ResponseWriter, _ *http.Request) {
